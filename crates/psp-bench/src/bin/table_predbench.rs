@@ -1,33 +1,34 @@
-//! Experiment E10 — the predicate-algebra microbench and backend
-//! comparison.
+//! Experiment E10 — the predicate-algebra microbench.
 //!
-//! Three sections, each run under both backends (packed bitplanes vs the
-//! sparse `BTreeMap` reference, selected via `psp_predicate::backend`):
+//! Three sections:
 //!
 //! 1. **micro** — per-op latency of `conjoin`/`is_disjoint`/`subsumes`/
-//!    `shifted` and `PathSet::subtract` over a deterministic corpus of
-//!    scheduler-shaped matrices;
+//!    `shifted` over a deterministic corpus of scheduler-shaped matrices,
+//!    packed `PredicateMatrix` next to the `SparseMatrix` reference (whose
+//!    shift is the rebuild-from-shifted-entries the validators use), plus
+//!    packed `PathSet::subtract`;
 //! 2. **kernels** — end-to-end `pipeline_loop` wall time per kernel, with
-//!    the packed run's predicate-op counters and interner memo hit rate;
+//!    its predicate-op counters;
 //! 3. **scaling** — the synthetic conditional-block family of `table_cost`
 //!    (the b=8 point is the headline: predicate work dominates there).
 //!
-//! Every end-to-end pair is also a differential check: the deterministic
-//! counters of the two backends must match exactly. `--json` writes
-//! BENCH_pred.json; `--smoke` trims the corpus and the scaling sweep for
-//! the time-boxed CI job.
+//! The corpus is also a differential check: every packed matrix must hold
+//! exactly its reference's entries, and the repeated end-to-end runs must
+//! repeat their deterministic counters. `--json` writes BENCH_pred.json;
+//! `--smoke` trims the corpus and the scaling sweep for the time-boxed CI
+//! job.
 
 use psp_bench::synthetic;
-use psp_core::{pipeline_loop, PspConfig};
+use psp_core::{pipeline_loop, PspConfig, PspResult};
+use psp_ir::LoopSpec;
 use psp_kernels::all_kernels;
-use psp_predicate::backend::with_backend;
-use psp_predicate::{stats, PathSet, PredicateMatrix};
+use psp_predicate::{stats, PathSet, PredOpStats, PredicateMatrix, SparseMatrix};
 use std::time::Instant;
 
 /// Deterministic corpus: entry lists shaped like scheduler formals (few
 /// constrained elements, small rows, columns clustered near 0). A plain
 /// LCG keeps the binary dependency-free and the corpus identical across
-/// backends and runs.
+/// runs.
 fn corpus_entries(n: usize, spill: bool) -> Vec<Vec<(u32, i32, bool)>> {
     let mut state = 0x243F6A8885A308D3u64;
     let mut next = move |m: u64| {
@@ -50,21 +51,8 @@ fn corpus_entries(n: usize, spill: bool) -> Vec<Vec<(u32, i32, bool)>> {
         .collect()
 }
 
-fn build(packed: bool, entries: &[Vec<(u32, i32, bool)>]) -> Vec<PredicateMatrix> {
-    with_backend(packed, || {
-        entries
-            .iter()
-            .map(|e| PredicateMatrix::from_entries(e.iter().copied()))
-            .collect()
-    })
-}
-
 /// ns/op over all ordered pairs of the corpus, repeated `reps` times.
-fn time_pairs(
-    ms: &[PredicateMatrix],
-    reps: usize,
-    mut f: impl FnMut(&PredicateMatrix, &PredicateMatrix),
-) -> f64 {
+fn time_pairs<M>(ms: &[M], reps: usize, mut f: impl FnMut(&M, &M)) -> f64 {
     let t0 = Instant::now();
     for _ in 0..reps {
         for a in ms {
@@ -76,7 +64,7 @@ fn time_pairs(
     t0.elapsed().as_nanos() as f64 / (reps * ms.len() * ms.len()) as f64
 }
 
-fn time_each(ms: &[PredicateMatrix], reps: usize, mut f: impl FnMut(&PredicateMatrix)) -> f64 {
+fn time_each<M>(ms: &[M], reps: usize, mut f: impl FnMut(&M)) -> f64 {
     let t0 = Instant::now();
     for _ in 0..reps {
         for a in ms {
@@ -84,6 +72,39 @@ fn time_each(ms: &[PredicateMatrix], reps: usize, mut f: impl FnMut(&PredicateMa
         }
     }
     t0.elapsed().as_nanos() as f64 / (reps * ms.len()) as f64
+}
+
+fn print_e2e_header(label: &str) {
+    println!(
+        "{label:<16} {:>11} {:>12} {:>12} {:>10}",
+        "ms", "disj tests", "subs tests", "conjoins"
+    );
+}
+
+/// Best-of-`runs` wall ms of `pipeline_loop` on `spec`, printed with the
+/// run's predicate-op counters. Every run must repeat the first one's
+/// deterministic counters and II.
+fn e2e_row(label: &str, runs: usize, spec: &LoopSpec, cfg: &PspConfig) -> (f64, PredOpStats) {
+    let mut best = f64::MAX;
+    let mut first: Option<PspResult> = None;
+    for _ in 0..runs {
+        let t = Instant::now();
+        let r = pipeline_loop(spec, cfg).expect("pipelines");
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        match &first {
+            Some(x) => {
+                assert_eq!(x.stats.counters(), r.stats.counters(), "{label}: counters");
+                assert_eq!(x.program.ii_range(), r.program.ii_range(), "{label}: II");
+            }
+            None => first = Some(r),
+        }
+    }
+    let pred = first.expect("at least one run").stats.pred;
+    println!(
+        "{label:<16} {best:>11.3} {:>12} {:>12} {:>10}",
+        pred.disjoint_tests, pred.subsume_tests, pred.conjoins
+    );
+    (best, pred)
 }
 
 fn main() {
@@ -95,13 +116,22 @@ fn main() {
     // ---- 1. micro ops ----
     let (n_mats, reps) = if smoke { (24, 20) } else { (48, 200) };
     let entries = corpus_entries(n_mats, !smoke);
-    let packed_ms = build(true, &entries);
-    let sparse_ms = build(false, &entries);
-    let packed_sets: Vec<PathSet> = packed_ms
-        .chunks(3)
-        .map(|c| PathSet::from_matrices(c.iter().cloned()))
+    let packed_ms: Vec<PredicateMatrix> = entries
+        .iter()
+        .map(|e| PredicateMatrix::from_entries(e.iter().copied()))
         .collect();
-    let sparse_sets: Vec<PathSet> = sparse_ms
+    let sparse_ms: Vec<SparseMatrix> = entries
+        .iter()
+        .map(|e| SparseMatrix::from_entries(e.iter().copied()))
+        .collect();
+    for (p, s) in packed_ms.iter().zip(&sparse_ms) {
+        assert_eq!(
+            &SparseMatrix::from(p),
+            s,
+            "corpus diverged from the reference"
+        );
+    }
+    let packed_sets: Vec<PathSet> = packed_ms
         .chunks(3)
         .map(|c| PathSet::from_matrices(c.iter().cloned()))
         .collect();
@@ -112,186 +142,86 @@ fn main() {
     );
     let mut micro = Vec::new();
     let mut sink = 0usize; // defeat dead-code elimination
-    let mut row = |op: &str, sparse_ns: f64, packed_ns: f64| {
-        println!(
-            "{op:<14} {sparse_ns:>12.1} {packed_ns:>12.1} {:>8.2}x",
-            sparse_ns / packed_ns
-        );
-        micro.push(format!(
-            "{{\"op\":\"{op}\",\"sparse_ns\":{sparse_ns:.2},\"packed_ns\":{packed_ns:.2},\"speedup\":{:.3}}}",
-            sparse_ns / packed_ns
-        ));
+    let mut row = |op: &str, sparse_ns: Option<f64>, packed_ns: f64| match sparse_ns {
+        Some(s) => {
+            println!(
+                "{op:<14} {s:>12.1} {packed_ns:>12.1} {:>8.2}x",
+                s / packed_ns
+            );
+            micro.push(format!(
+                    "{{\"op\":\"{op}\",\"sparse_ns\":{s:.2},\"packed_ns\":{packed_ns:.2},\"speedup\":{:.3}}}",
+                    s / packed_ns
+                ));
+        }
+        None => {
+            println!("{op:<14} {:>12} {packed_ns:>12.1} {:>9}", "-", "-");
+            micro.push(format!("{{\"op\":\"{op}\",\"packed_ns\":{packed_ns:.2}}}"));
+        }
     };
     let s = time_pairs(&sparse_ms, reps, |a, b| sink += a.is_disjoint(b) as usize);
     let p = time_pairs(&packed_ms, reps, |a, b| sink += a.is_disjoint(b) as usize);
-    row("is_disjoint", s, p);
+    row("is_disjoint", Some(s), p);
     let s = time_pairs(&sparse_ms, reps, |a, b| sink += a.subsumes(b) as usize);
     let p = time_pairs(&packed_ms, reps, |a, b| sink += a.subsumes(b) as usize);
-    row("subsumes", s, p);
+    row("subsumes", Some(s), p);
     let s = time_pairs(&sparse_ms, reps, |a, b| {
         sink += a.conjoin(b).is_some() as usize
     });
     let p = time_pairs(&packed_ms, reps, |a, b| {
         sink += a.conjoin(b).is_some() as usize
     });
-    row("conjoin", s, p);
+    row("conjoin", Some(s), p);
     let s = time_each(&sparse_ms, reps * 8, |a| {
-        sink += a.shifted(1).constrained_len()
+        let shifted = SparseMatrix::from_entries(a.constrained().map(|(r, c, v)| (r, c + 1, v)));
+        sink += shifted.constrained().count()
     });
     let p = time_each(&packed_ms, reps * 8, |a| {
         sink += a.shifted(1).constrained_len()
     });
-    row("shifted", s, p);
+    row("shifted", Some(s), p);
     let set_reps = if smoke { 2 } else { 10 };
-    let t0 = Instant::now();
-    for _ in 0..set_reps {
-        for a in &sparse_sets {
-            for b in &sparse_sets {
-                sink += a.subtract(b).len();
-            }
-        }
-    }
-    let s =
-        t0.elapsed().as_nanos() as f64 / (set_reps * sparse_sets.len() * sparse_sets.len()) as f64;
-    let t0 = Instant::now();
-    for _ in 0..set_reps {
-        for a in &packed_sets {
-            for b in &packed_sets {
-                sink += a.subtract(b).len();
-            }
-        }
-    }
-    let p =
-        t0.elapsed().as_nanos() as f64 / (set_reps * packed_sets.len() * packed_sets.len()) as f64;
-    row("set_subtract", s, p);
+    let p = time_pairs(&packed_sets, set_reps, |a, b| sink += a.subtract(b).len());
+    row("set_subtract", None, p);
     assert!(sink > 0);
 
-    // Differential spot check on the corpus itself.
-    for (a, b) in packed_ms.iter().zip(&sparse_ms) {
-        assert_eq!(a, b, "corpus diverged between backends");
-    }
-
     // ---- 2. end-to-end kernels ----
-    println!("\nend-to-end pipeline_loop per kernel (wall ms, identical results asserted):");
-    // Packed runs answer most in-window queries with direct word tests
-    // that never touch the interner memo, so the interesting memo hit
-    // rate is the sparse run's (where every cached query goes through it).
-    println!(
-        "{:<16} {:>11} {:>11} {:>9} {:>12} {:>10} {:>7}",
-        "kernel", "sparse ms", "packed ms", "speedup", "disj tests", "conjoins", "smemo%"
-    );
     let cfg = PspConfig::default();
     let kernels = all_kernels();
     let kernels = if smoke { &kernels[..3] } else { &kernels[..] };
     let runs = if smoke { 1 } else { 3 };
-    let mut kernel_records = Vec::new();
-    let mut worst_ratio = f64::MAX;
-    for kernel in kernels {
-        let mut sparse_ms_best = f64::MAX;
-        let mut packed_ms_best = f64::MAX;
-        let mut sparse_res = None;
-        let mut packed_res = None;
-        for _ in 0..runs {
-            let t = Instant::now();
-            let r = with_backend(false, || pipeline_loop(&kernel.spec, &cfg)).expect("pipelines");
-            sparse_ms_best = sparse_ms_best.min(t.elapsed().as_secs_f64() * 1e3);
-            sparse_res = Some(r);
-            let t = Instant::now();
-            let r = with_backend(true, || pipeline_loop(&kernel.spec, &cfg)).expect("pipelines");
-            packed_ms_best = packed_ms_best.min(t.elapsed().as_secs_f64() * 1e3);
-            packed_res = Some(r);
-        }
-        let (sparse_res, packed_res) = (sparse_res.unwrap(), packed_res.unwrap());
-        assert_eq!(
-            sparse_res.stats.counters(),
-            packed_res.stats.counters(),
-            "{}: backends diverged",
-            kernel.name
-        );
-        assert_eq!(sparse_res.program.ii_range(), packed_res.program.ii_range());
-        let speedup = sparse_ms_best / packed_ms_best;
-        worst_ratio = worst_ratio.min(speedup);
-        let pred = &packed_res.stats.pred;
-        let pred_sparse = &sparse_res.stats.pred;
-        println!(
-            "{:<16} {:>11.3} {:>11.3} {:>8.2}x {:>12} {:>10} {:>6.0}%",
-            kernel.name,
-            sparse_ms_best,
-            packed_ms_best,
-            speedup,
-            pred.disjoint_tests,
-            pred.conjoins,
-            100.0 * pred_sparse.memo_hit_rate(),
-        );
-        kernel_records.push(format!(
-            concat!(
-                "{{\"kernel\":\"{}\",\"sparse_ms\":{:.4},\"packed_ms\":{:.4},",
-                "\"speedup\":{:.3},\"pred\":{},\"pred_sparse\":{}}}"
-            ),
-            kernel.name,
-            sparse_ms_best,
-            packed_ms_best,
-            speedup,
-            pred.to_json(),
-            pred_sparse.to_json(),
-        ));
-    }
-    println!("worst kernel speedup: {worst_ratio:.2}x");
+    println!("\nend-to-end pipeline_loop per kernel (best-of-{runs} wall ms, repeated counters asserted):");
+    print_e2e_header("kernel");
+    let kernel_records: Vec<String> = kernels
+        .iter()
+        .map(|k| {
+            let (ms, pred) = e2e_row(k.name, runs, &k.spec, &cfg);
+            format!(
+                "{{\"kernel\":\"{}\",\"packed_ms\":{ms:.4},\"pred\":{}}}",
+                k.name,
+                pred.to_json()
+            )
+        })
+        .collect();
 
     // ---- 3. synthetic scaling ----
     println!("\nscaling (synthetic loops, b conditional blocks):");
-    println!(
-        "{:<4} {:>11} {:>11} {:>9} {:>12} {:>7}",
-        "b", "sparse ms", "packed ms", "speedup", "disj tests", "smemo%"
-    );
+    print_e2e_header("b");
     let blocks: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 6, 8] };
-    let mut scaling_records = Vec::new();
-    for &b in blocks {
-        let spec = synthetic(b);
-        let t = Instant::now();
-        let sparse = with_backend(false, || pipeline_loop(&spec, &cfg)).expect("pipelines");
-        let sparse_ms = t.elapsed().as_secs_f64() * 1e3;
-        let t = Instant::now();
-        let packed = with_backend(true, || pipeline_loop(&spec, &cfg)).expect("pipelines");
-        let packed_ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            sparse.stats.counters(),
-            packed.stats.counters(),
-            "b={b}: diverged"
-        );
-        assert_eq!(sparse.program.ii_range(), packed.program.ii_range());
-        let pred = &packed.stats.pred;
-        let pred_sparse = &sparse.stats.pred;
-        println!(
-            "{:<4} {:>11.2} {:>11.2} {:>8.2}x {:>12} {:>6.0}%",
-            b,
-            sparse_ms,
-            packed_ms,
-            sparse_ms / packed_ms,
-            pred.disjoint_tests,
-            100.0 * pred_sparse.memo_hit_rate(),
-        );
-        scaling_records.push(format!(
-            concat!(
-                "{{\"blocks\":{},\"sparse_ms\":{:.3},\"packed_ms\":{:.3},",
-                "\"speedup\":{:.3},\"pred\":{},\"pred_sparse\":{}}}"
-            ),
-            b,
-            sparse_ms,
-            packed_ms,
-            sparse_ms / packed_ms,
-            pred.to_json(),
-            pred_sparse.to_json(),
-        ));
-    }
+    let scaling_records: Vec<String> = blocks
+        .iter()
+        .map(|&b| {
+            let (ms, pred) = e2e_row(&b.to_string(), 1, &synthetic(b), &cfg);
+            format!(
+                "{{\"blocks\":{b},\"packed_ms\":{ms:.3},\"pred\":{}}}",
+                pred.to_json()
+            )
+        })
+        .collect();
 
     let totals = stats::snapshot();
     println!(
-        "\nprocess totals: {} conjoins, {} disjoint tests, {} subsume tests, memo hit rate {:.0}%",
-        totals.conjoins,
-        totals.disjoint_tests,
-        totals.subsume_tests,
-        100.0 * totals.memo_hit_rate(),
+        "\nprocess totals: {} conjoins, {} disjoint tests, {} subsume tests",
+        totals.conjoins, totals.disjoint_tests, totals.subsume_tests,
     );
 
     if json {

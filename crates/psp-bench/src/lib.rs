@@ -1,6 +1,6 @@
-//! Shared helpers for the experiment binaries (`fig1` … `table_ablation`)
-//! and the criterion benches. Each binary regenerates one figure or table
-//! of EXPERIMENTS.md; run them all with
+//! Shared helpers for the experiment binaries (`fig1` … `table_ablation`).
+//! Each binary regenerates one figure or table of EXPERIMENTS.md; run them
+//! all with
 //! `for b in fig1 fig2 fig3 table_kernels table_cost table_resources table_gap
 //! table_prob table_ablation; do cargo run -p psp-bench --bin $b --release; done`.
 
@@ -55,7 +55,7 @@ pub fn machine_label(m: &MachineConfig) -> String {
 /// Synthetic scaling loop: `b` independent conditional accumulations over
 /// one loaded element. Codegen block count is exponential in live IFs, so
 /// this family stresses every predicate-algebra hot path; shared by
-/// `table_cost` (driver scaling) and `table_predbench` (backend scaling).
+/// `table_cost` (driver scaling) and `table_predbench` (predicate-op scaling).
 pub fn synthetic(blocks: usize) -> psp_ir::LoopSpec {
     use psp_ir::op::build;
     let mut b = psp_ir::LoopBuilder::new(format!("synthetic{blocks}"));

@@ -14,10 +14,8 @@
 //! in-window packed matrices the test is ~6 word instructions, cheaper
 //! than a single hash-map probe. [`cached_disjoint`]/[`cached_subsumes`]
 //! therefore test [`PredicateMatrix::is_word_packed`] pairs directly and
-//! route only the expensive operands — sparse-mode matrices (the
-//! reference backend) and spilled packed matrices — through a
-//! thread-local interner. The sparse backend is exactly where the memo
-//! pays: that is what `table_predbench` measures.
+//! route only the expensive operands — matrices with out-of-window spill —
+//! through a thread-local interner.
 //!
 //! The thread-local interner is capacity-bounded ([`TLS_CAP`]): interning
 //! is keyed by matrix *content*, so clearing it is always safe — the next
@@ -53,8 +51,7 @@ impl PredInterner {
         Self::default()
     }
 
-    /// Intern a matrix; equal matrices (across representations — equality
-    /// is content-based) get the same id.
+    /// Intern a matrix; equal matrices get the same id.
     pub fn intern(&mut self, m: &PredicateMatrix) -> MatrixId {
         if let Some(&id) = self.mat_ids.get(m) {
             return MatrixId(id);
@@ -179,36 +176,37 @@ pub fn cached_subsumes(a: &PredicateMatrix, b: &PredicateMatrix) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend;
+    use crate::sparse::SparseMatrix;
 
     fn m(entries: &[(u32, i32, bool)]) -> PredicateMatrix {
         PredicateMatrix::from_entries(entries.iter().copied())
     }
 
     #[test]
-    fn interning_dedups_by_content_across_backends() {
+    fn interning_dedups_by_content() {
         let mut it = PredInterner::new();
-        let packed = backend::with_backend(true, || m(&[(0, 0, true)]));
-        let sparse = backend::with_backend(false, || m(&[(0, 0, true)]));
+        let a = m(&[(0, 0, true)]);
+        let same = m(&[(0, 0, false), (0, 0, true)]);
         let other = m(&[(0, 0, false)]);
-        assert_eq!(it.intern(&packed), it.intern(&sparse));
-        assert_ne!(it.intern(&packed), it.intern(&other));
+        assert_eq!(it.intern(&a), it.intern(&same));
+        assert_ne!(it.intern(&a), it.intern(&other));
         assert_eq!(it.len(), 2);
-        let id = it.intern(&packed);
-        assert_eq!(it.matrix(id), &packed);
+        let id = it.intern(&a);
+        assert_eq!(it.matrix(id), &a);
     }
 
     #[test]
-    fn memoized_queries_match_direct_ones() {
+    fn memoized_queries_match_the_sparse_reference() {
         let mut it = PredInterner::new();
         let a = m(&[(0, 0, true)]);
         let b = m(&[(0, 0, false), (0, 1, true)]);
+        let (sa, sb) = (SparseMatrix::from(&a), SparseMatrix::from(&b));
         let (ia, ib) = (it.intern(&a), it.intern(&b));
         for _ in 0..3 {
-            assert_eq!(it.disjoint(ia, ib), a.is_disjoint(&b));
-            assert_eq!(it.disjoint(ib, ia), a.is_disjoint(&b));
-            assert_eq!(it.subsumes(ia, ib), a.subsumes(&b));
-            assert_eq!(it.subsumes(ib, ia), b.subsumes(&a));
+            assert_eq!(it.disjoint(ia, ib), sa.is_disjoint(&sb));
+            assert_eq!(it.disjoint(ib, ia), sa.is_disjoint(&sb));
+            assert_eq!(it.subsumes(ia, ib), sa.subsumes(&sb));
+            assert_eq!(it.subsumes(ib, ia), sb.subsumes(&sa));
         }
     }
 
@@ -224,18 +222,15 @@ mod tests {
     }
 
     #[test]
-    fn cached_helpers_agree_with_direct_ops_in_both_modes() {
-        for packed in [true, false] {
-            backend::with_backend(packed, || {
-                let a = m(&[(0, 0, true), (20, 0, false)]); // row 20 spills
-                let b = m(&[(0, 0, false)]);
-                let c = m(&[(0, 0, true)]);
-                for (x, y) in [(&a, &b), (&a, &c), (&b, &c), (&a, &a)] {
-                    assert_eq!(cached_disjoint(x, y), x.is_disjoint(y));
-                    assert_eq!(cached_subsumes(x, y), x.subsumes(y));
-                    assert_eq!(cached_subsumes(y, x), y.subsumes(x));
-                }
-            });
+    fn cached_helpers_match_the_sparse_reference() {
+        let a = m(&[(0, 0, true), (20, 0, false)]); // row 20 spills
+        let b = m(&[(0, 0, false)]);
+        let c = m(&[(0, 0, true)]);
+        for (x, y) in [(&a, &b), (&a, &c), (&b, &c), (&a, &a)] {
+            let (sx, sy) = (SparseMatrix::from(x), SparseMatrix::from(y));
+            assert_eq!(cached_disjoint(x, y), sx.is_disjoint(&sy));
+            assert_eq!(cached_subsumes(x, y), sx.subsumes(&sy));
+            assert_eq!(cached_subsumes(y, x), sy.subsumes(&sx));
         }
     }
 }

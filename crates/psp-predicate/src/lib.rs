@@ -33,21 +33,20 @@
 //! * [`IfLog`] — the auxiliary structure tracing where IF instances are
 //!   scheduled, which links predicates to the operations that compute them.
 //!
-//! Two interchangeable matrix layouts back this API: packed bitplanes (the
-//! default — set algebra as word ops over a fixed row/column window, with a
-//! sparse spill outside it) and the original sparse `BTreeMap`, kept as a
-//! reference for differential testing. See [`matrix`] for the layout,
-//! [`backend`] for the construction-time switch, [`intern`] for
-//! hash-consing + memoized pairwise queries, and [`stats`] for the global
-//! predicate-op counters surfaced in the driver's `PspStats`.
+//! Matrices are packed bitplanes: set algebra as word ops over a fixed
+//! row/column window, with a sparse spill outside it. See [`matrix`] for
+//! the layout, [`sparse`] for the independent `BTreeMap` reference the
+//! validators and differential tests use, [`intern`] for hash-consing +
+//! memoized pairwise queries, and [`stats`] for the global predicate-op
+//! counters surfaced in the driver's `PspStats`.
 
-pub mod backend;
 pub mod elem;
 pub mod iflog;
 pub mod intern;
 pub mod matrix;
 pub mod outcome;
 pub mod pathset;
+pub mod sparse;
 pub mod stats;
 
 pub use elem::PredElem;
@@ -56,4 +55,5 @@ pub use intern::{MatrixId, PathSetId, PredInterner};
 pub use matrix::{PredKey, PredicateMatrix};
 pub use outcome::OutcomeMap;
 pub use pathset::PathSet;
+pub use sparse::SparseMatrix;
 pub use stats::PredOpStats;

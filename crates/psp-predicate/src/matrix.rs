@@ -1,4 +1,4 @@
-//! Predicate matrices: packed bitplanes with a sparse reference fallback.
+//! Predicate matrices: packed bitplanes with an out-of-window spill.
 //!
 //! A [`PredicateMatrix`] stores only its constrained elements; every other
 //! element is implicitly `b`. Rows identify IF operations of the original
@@ -7,41 +7,32 @@
 //! later). A matrix denotes the set of all execution paths whose IF outcomes
 //! agree with its constrained elements.
 //!
-//! # Representations
+//! # Layout
 //!
-//! Two interchangeable layouts sit behind the same API, selected at
-//! construction time by [`crate::backend`]:
+//! Two bitplanes cover a fixed window of [`PACKED_ROWS`] rows × columns
+//! [`PACKED_COL_LO`]`..=`[`PACKED_COL_HI`]: `mask` marks the constrained
+//! positions, `vals` the outcome at each (and is zero elsewhere, keeping the
+//! form canonical). One 16-bit lane per row, row-major, so the whole window
+//! is two `u64` words per plane and `conjoin`/`is_disjoint`/`subsumes` are a
+//! handful of AND/XOR/OR instructions. Keys outside the window spill into a
+//! sorted side map (correct, slower); the window covers every matrix the
+//! kernel suite and the scaling loops produce, so the spill is effectively a
+//! fuzz-only path. [`crate::sparse::SparseMatrix`] is the independent
+//! `BTreeMap` reference the validators and differential tests check this
+//! layout against.
 //!
-//! - **Packed** (default): two bitplanes over a fixed window of
-//!   [`PACKED_ROWS`] rows × columns [`PACKED_COL_LO`]`..=`[`PACKED_COL_HI`]
-//!   — `mask` marks the constrained positions, `vals` the outcome at each
-//!   (and is zero elsewhere, keeping the form canonical). One 16-bit lane
-//!   per row, row-major, so the whole window is two `u64` words per plane
-//!   and `conjoin`/`is_disjoint`/`subsumes` are a handful of AND/XOR/OR
-//!   instructions. Keys outside the window spill into a sorted side map
-//!   (correct, slower); the window covers every matrix the kernel suite and
-//!   the scaling loops produce, so the spill is effectively a fuzz-only
-//!   path.
-//! - **Sparse**: the original `BTreeMap<PredKey, bool>`, kept as the
-//!   reference implementation for differential tests and benchmarks.
-//!
-//! Equality, ordering, hashing and `Debug` are defined over the logical
-//! element sequence, so a packed matrix and a sparse matrix with the same
-//! constraints are fully interchangeable — mixed-representation operands
-//! take a generic element-wise path. In particular `Ord` reproduces the
-//! lexicographic `((row, col), value)` sequence order the sparse map used
-//! to derive: `PathSet` normalization sorts by it, and the profile-driven
-//! score sums member probabilities in that order, so changing it would
-//! change f64 rounding and hence candidate selection.
+//! The layout is canonical, so equality and hashing are derived. `Ord`
+//! reproduces the lexicographic `((row, col), value)` sequence order of the
+//! constrained elements: `PathSet` normalization sorts by it, and the
+//! profile-driven score sums member probabilities in that order, so
+//! changing it would change f64 rounding and hence candidate selection.
 
-use crate::backend;
 use crate::elem::PredElem;
 use crate::outcome::OutcomeMap;
 use crate::stats;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// Position of one predicate: `(IF row, iteration column)`.
 pub type PredKey = (u32, i32);
@@ -73,67 +64,33 @@ fn key_of(bit: usize) -> PredKey {
     ((bit / LANE) as u32, (bit % LANE) as i32 + PACKED_COL_LO)
 }
 
-/// Bitplane pair plus out-of-window spill.
-///
-/// Invariants: `vals ⊆ mask` word-wise; spill keys are strictly outside the
-/// window; the spill is `None` rather than an empty map. Together these
-/// make the representation canonical, so packed equality is plain word
-/// comparison.
-#[derive(Clone, Default)]
-struct Packed {
-    /// Constrained positions.
-    mask: [u64; W],
-    /// Outcome at constrained positions (`1` = True); zero elsewhere.
-    vals: [u64; W],
-    /// Constrained keys outside the window. Boxed deliberately: spill is
-    /// almost always `None`, and the indirection keeps `Packed` (and so
-    /// every matrix clone) at 40 bytes instead of 56.
-    #[allow(clippy::box_collection)]
-    spill: Option<Box<BTreeMap<PredKey, bool>>>,
-}
-
-#[derive(Clone)]
-enum Repr {
-    Packed(Packed),
-    Sparse(BTreeMap<PredKey, bool>),
-}
-
 /// A sparse, conceptually infinite matrix of [`PredElem`]s.
 ///
 /// The empty matrix denotes the universe (all paths admitted). Matrices are
 /// ordered and hashable so they can key maps and be deduplicated in
 /// [`crate::PathSet`]s.
-#[derive(Clone)]
+///
+/// Invariants: `vals ⊆ mask` word-wise; spill keys are strictly outside the
+/// window; the spill is `None` rather than an empty map. Together these
+/// make the layout canonical, so equality is plain word comparison.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct PredicateMatrix {
-    repr: Repr,
+    /// Constrained positions.
+    mask: [u64; W],
+    /// Outcome at constrained positions (`1` = True); zero elsewhere.
+    vals: [u64; W],
+    /// Constrained keys outside the window. Boxed deliberately: spill is
+    /// almost always `None`, and the indirection keeps every matrix clone
+    /// at 40 bytes instead of 56.
+    #[allow(clippy::box_collection)]
+    spill: Option<Box<BTreeMap<PredKey, bool>>>,
 }
 
 impl PredicateMatrix {
     /// The unconstrained matrix `[b b … b]` (all paths).
     #[inline]
     pub fn universe() -> Self {
-        if backend::is_packed() {
-            Self {
-                repr: Repr::Packed(Packed::default()),
-            }
-        } else {
-            Self {
-                repr: Repr::Sparse(BTreeMap::new()),
-            }
-        }
-    }
-
-    /// Empty matrix in the same representation mode as `self`, so derived
-    /// results stay mode-stable regardless of the global backend flag.
-    fn empty_like(&self) -> Self {
-        match &self.repr {
-            Repr::Packed(_) => Self {
-                repr: Repr::Packed(Packed::default()),
-            },
-            Repr::Sparse(_) => Self {
-                repr: Repr::Sparse(BTreeMap::new()),
-            },
-        }
+        Self::default()
     }
 
     /// Matrix with a single constrained element.
@@ -157,22 +114,16 @@ impl PredicateMatrix {
     /// The element at `(row, col)` (default `b`).
     #[inline]
     pub fn get(&self, row: u32, col: i32) -> PredElem {
-        match &self.repr {
-            Repr::Packed(p) => match bit_of(row, col) {
-                Some(b) => {
-                    let (w, i) = (b >> 6, b & 63);
-                    if p.mask[w] >> i & 1 == 1 {
-                        PredElem::from_bool(p.vals[w] >> i & 1 == 1)
-                    } else {
-                        PredElem::Both
-                    }
+        match bit_of(row, col) {
+            Some(b) => {
+                let (w, i) = (b >> 6, b & 63);
+                if self.mask[w] >> i & 1 == 1 {
+                    PredElem::from_bool(self.vals[w] >> i & 1 == 1)
+                } else {
+                    PredElem::Both
                 }
-                None => match p.spill.as_ref().and_then(|s| s.get(&(row, col))) {
-                    Some(&v) => PredElem::from_bool(v),
-                    None => PredElem::Both,
-                },
-            },
-            Repr::Sparse(m) => match m.get(&(row, col)) {
+            }
+            None => match self.spill.as_ref().and_then(|s| s.get(&(row, col))) {
                 Some(&v) => PredElem::from_bool(v),
                 None => PredElem::Both,
             },
@@ -181,47 +132,37 @@ impl PredicateMatrix {
 
     /// Set the element at `(row, col)`; setting `b` removes the entry.
     pub fn set(&mut self, row: u32, col: i32, e: PredElem) {
-        match &mut self.repr {
-            Repr::Packed(p) => match bit_of(row, col) {
-                Some(b) => {
-                    let (w, i) = (b >> 6, b & 63);
-                    match e.as_bool() {
-                        Some(v) => {
-                            p.mask[w] |= 1 << i;
-                            if v {
-                                p.vals[w] |= 1 << i;
-                            } else {
-                                p.vals[w] &= !(1 << i);
-                            }
-                        }
-                        None => {
-                            p.mask[w] &= !(1 << i);
-                            p.vals[w] &= !(1 << i);
-                        }
-                    }
-                }
-                None => match e.as_bool() {
+        match bit_of(row, col) {
+            Some(b) => {
+                let (w, i) = (b >> 6, b & 63);
+                match e.as_bool() {
                     Some(v) => {
-                        p.spill
-                            .get_or_insert_with(Default::default)
-                            .insert((row, col), v);
+                        self.mask[w] |= 1 << i;
+                        if v {
+                            self.vals[w] |= 1 << i;
+                        } else {
+                            self.vals[w] &= !(1 << i);
+                        }
                     }
                     None => {
-                        if let Some(s) = &mut p.spill {
-                            s.remove(&(row, col));
-                            if s.is_empty() {
-                                p.spill = None;
-                            }
-                        }
+                        self.mask[w] &= !(1 << i);
+                        self.vals[w] &= !(1 << i);
                     }
-                },
-            },
-            Repr::Sparse(m) => match e.as_bool() {
+                }
+            }
+            None => match e.as_bool() {
                 Some(v) => {
-                    m.insert((row, col), v);
+                    self.spill
+                        .get_or_insert_with(Default::default)
+                        .insert((row, col), v);
                 }
                 None => {
-                    m.remove(&(row, col));
+                    if let Some(s) = &mut self.spill {
+                        s.remove(&(row, col));
+                        if s.is_empty() {
+                            self.spill = None;
+                        }
+                    }
                 }
             },
         }
@@ -237,57 +178,43 @@ impl PredicateMatrix {
     /// Number of constrained elements.
     #[inline]
     pub fn constrained_len(&self) -> usize {
-        match &self.repr {
-            Repr::Packed(p) => {
-                p.mask
-                    .iter()
-                    .map(|w| w.count_ones() as usize)
-                    .sum::<usize>()
-                    + p.spill.as_ref().map_or(0, |s| s.len())
-            }
-            Repr::Sparse(m) => m.len(),
-        }
+        self.mask
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>()
+            + self.spill.as_ref().map_or(0, |s| s.len())
     }
 
     /// `true` when no element is constrained (the universe).
     #[inline]
     pub fn is_universe(&self) -> bool {
-        match &self.repr {
-            Repr::Packed(p) => p.mask == [0; W] && p.spill.is_none(),
-            Repr::Sparse(m) => m.is_empty(),
-        }
+        self.mask == [0; W] && self.spill.is_none()
     }
 
-    /// Whether this matrix is fully in-window packed: pairwise operations
-    /// on two such matrices are a handful of word instructions (and thus
-    /// cheaper than any memo lookup — see [`crate::intern`]).
+    /// Whether this matrix has no spill: pairwise operations on two such
+    /// matrices are a handful of word instructions (and thus cheaper than
+    /// any memo lookup — see [`crate::intern`]).
     #[inline]
     pub fn is_word_packed(&self) -> bool {
-        matches!(&self.repr, Repr::Packed(p) if p.spill.is_none())
+        self.spill.is_none()
     }
 
     /// Iterate over the constrained elements in `(row, col)` order.
     pub fn constrained(&self) -> ConstrainedIter<'_> {
-        let inner = match &self.repr {
-            Repr::Sparse(m) => Inner::Sparse(m.iter()),
-            Repr::Packed(p) => {
-                let bits = PackedBits {
-                    mask: p.mask,
-                    vals: p.vals,
-                    w: 0,
-                };
-                match &p.spill {
-                    None => Inner::Bits(bits),
-                    Some(s) => {
-                        let mut bits = bits;
-                        let mut spill = s.iter();
-                        Inner::Merged {
-                            bits_next: bits.next(),
-                            bits,
-                            spill_next: spill.next().map(|(&k, &v)| (k, v)),
-                            spill,
-                        }
-                    }
+        let mut bits = PackedBits {
+            mask: self.mask,
+            vals: self.vals,
+            w: 0,
+        };
+        let inner = match &self.spill {
+            None => Inner::Bits(bits),
+            Some(s) => {
+                let mut spill = s.iter();
+                Inner::Merged {
+                    bits_next: bits.next(),
+                    bits,
+                    spill_next: spill.next().map(|(&k, &v)| (k, v)),
+                    spill,
                 }
             }
         };
@@ -306,54 +233,34 @@ impl PredicateMatrix {
     /// some position.
     pub fn conjoin(&self, other: &Self) -> Option<Self> {
         stats::count_conjoin();
-        if let (Repr::Packed(a), Repr::Packed(b)) = (&self.repr, &other.repr) {
-            for i in 0..W {
-                if (a.vals[i] ^ b.vals[i]) & a.mask[i] & b.mask[i] != 0 {
-                    return None;
-                }
-            }
-            let mut out = Packed::default();
-            for i in 0..W {
-                out.mask[i] = a.mask[i] | b.mask[i];
-                out.vals[i] = a.vals[i] | b.vals[i];
-            }
-            out.spill = match (&a.spill, &b.spill) {
-                (None, None) => None,
-                (Some(s), None) | (None, Some(s)) => Some(s.clone()),
-                (Some(x), Some(y)) => {
-                    let (small, large) = if x.len() <= y.len() { (x, y) } else { (y, x) };
-                    for (k, v) in small.iter() {
-                        if matches!(large.get(k), Some(w) if w != v) {
-                            return None;
-                        }
-                    }
-                    let mut merged = large.clone();
-                    for (&k, &v) in small.iter() {
-                        merged.insert(k, v);
-                    }
-                    Some(merged)
-                }
-            };
-            return Some(Self {
-                repr: Repr::Packed(out),
-            });
-        }
-        // Generic path (sparse or mixed representations): iterate the
-        // smaller entry set for the conflict scan, then overlay it.
-        let (small, large) = if self.constrained_len() <= other.constrained_len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        for (r, c, v) in small.constrained() {
-            if matches!(large.get(r, c).as_bool(), Some(w) if w != v) {
+        let (a, b) = (self, other);
+        for i in 0..W {
+            if (a.vals[i] ^ b.vals[i]) & a.mask[i] & b.mask[i] != 0 {
                 return None;
             }
         }
-        let mut out = large.clone();
-        for (r, c, v) in small.constrained() {
-            out.set(r, c, PredElem::from_bool(v));
+        let mut out = Self::default();
+        for i in 0..W {
+            out.mask[i] = a.mask[i] | b.mask[i];
+            out.vals[i] = a.vals[i] | b.vals[i];
         }
+        out.spill = match (&a.spill, &b.spill) {
+            (None, None) => None,
+            (Some(s), None) | (None, Some(s)) => Some(s.clone()),
+            (Some(x), Some(y)) => {
+                let (small, large) = if x.len() <= y.len() { (x, y) } else { (y, x) };
+                for (k, v) in small.iter() {
+                    if matches!(large.get(k), Some(w) if w != v) {
+                        return None;
+                    }
+                }
+                let mut merged = large.clone();
+                for (&k, &v) in small.iter() {
+                    merged.insert(k, v);
+                }
+                Some(merged)
+            }
+        };
         Some(out)
     }
 
@@ -363,56 +270,39 @@ impl PredicateMatrix {
     /// are never tested for data or control dependence.
     pub fn is_disjoint(&self, other: &Self) -> bool {
         stats::count_disjoint_test();
-        if let (Repr::Packed(a), Repr::Packed(b)) = (&self.repr, &other.repr) {
-            for i in 0..W {
-                if (a.vals[i] ^ b.vals[i]) & a.mask[i] & b.mask[i] != 0 {
-                    return true;
-                }
+        let (a, b) = (self, other);
+        for i in 0..W {
+            if (a.vals[i] ^ b.vals[i]) & a.mask[i] & b.mask[i] != 0 {
+                return true;
             }
-            if let (Some(x), Some(y)) = (&a.spill, &b.spill) {
-                let (small, large) = if x.len() <= y.len() { (x, y) } else { (y, x) };
-                return small
-                    .iter()
-                    .any(|(k, v)| matches!(large.get(k), Some(w) if w != v));
-            }
-            return false;
         }
-        let (small, large) = if self.constrained_len() <= other.constrained_len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        small
-            .constrained()
-            .any(|(r, c, v)| matches!(large.get(r, c).as_bool(), Some(w) if w != v))
+        if let (Some(x), Some(y)) = (&a.spill, &b.spill) {
+            let (small, large) = if x.len() <= y.len() { (x, y) } else { (y, x) };
+            return small
+                .iter()
+                .any(|(k, v)| matches!(large.get(k), Some(w) if w != v));
+        }
+        false
     }
 
     /// Superset relation: every path admitted by `other` is admitted by
     /// `self` (i.e. `self`'s constraints are a subset of `other`'s).
     pub fn subsumes(&self, other: &Self) -> bool {
         stats::count_subsume_test();
-        if let (Repr::Packed(a), Repr::Packed(b)) = (&self.repr, &other.repr) {
-            for i in 0..W {
-                if a.mask[i] & !b.mask[i] != 0 {
-                    return false;
-                }
-                if (a.vals[i] ^ b.vals[i]) & a.mask[i] != 0 {
-                    return false;
-                }
+        let (a, b) = (self, other);
+        for i in 0..W {
+            if a.mask[i] & !b.mask[i] != 0 {
+                return false;
             }
-            return match (&a.spill, &b.spill) {
-                (None, _) => true,
-                (Some(_), None) => false,
-                (Some(x), Some(y)) => {
-                    x.len() <= y.len() && x.iter().all(|(k, v)| y.get(k) == Some(v))
-                }
-            };
+            if (a.vals[i] ^ b.vals[i]) & a.mask[i] != 0 {
+                return false;
+            }
         }
-        if self.constrained_len() > other.constrained_len() {
-            return false;
+        match (&a.spill, &b.spill) {
+            (None, _) => true,
+            (Some(_), None) => false,
+            (Some(x), Some(y)) => x.len() <= y.len() && x.iter().all(|(k, v)| y.get(k) == Some(v)),
         }
-        self.constrained()
-            .all(|(r, c, v)| other.get(r, c).as_bool() == Some(v))
     }
 
     /// Shift all columns by `delta` (positive = later iterations).
@@ -425,20 +315,47 @@ impl PredicateMatrix {
         if delta == 0 {
             return self.clone();
         }
-        if let Repr::Packed(p) = &self.repr {
-            if p.spill.is_none() {
-                if let Some(s) = shift_lanes(p, delta) {
-                    return Self {
-                        repr: Repr::Packed(s),
-                    };
-                }
+        if self.spill.is_none() {
+            if let Some(s) = self.shift_lanes(delta) {
+                return s;
             }
         }
-        let mut out = self.empty_like();
-        for (r, c, v) in self.constrained() {
-            out.set(r, c + delta, PredElem::from_bool(v));
+        Self::from_entries(self.constrained().map(|(r, c, v)| (r, c + delta, v)))
+    }
+
+    /// Shift a spill-free matrix within its lanes, `None` when any
+    /// constrained bit would leave its row window (the caller then rebuilds
+    /// element-wise, spilling as needed).
+    fn shift_lanes(&self, delta: i32) -> Option<Self> {
+        let d = delta.unsigned_abs() as usize;
+        if d >= LANE {
+            return None;
         }
-        out
+        let lane_keep: u64 = if delta > 0 {
+            (1 << (LANE - d)) - 1
+        } else {
+            ((1 << (LANE - d)) - 1) << d
+        };
+        let mut keep = 0u64;
+        let mut lane = 0;
+        while lane < 64 / LANE {
+            keep |= lane_keep << (lane * LANE);
+            lane += 1;
+        }
+        if self.mask.iter().any(|&w| w & !keep != 0) {
+            return None;
+        }
+        // All surviving bits stay inside their lane, so a whole-word shift
+        // cannot leak across lane or word boundaries.
+        let mut out = Self::default();
+        for i in 0..W {
+            (out.mask[i], out.vals[i]) = if delta > 0 {
+                (self.mask[i] << d, self.vals[i] << d)
+            } else {
+                (self.mask[i] >> d, self.vals[i] >> d)
+            };
+        }
+        Some(out)
     }
 
     /// The *split* of this matrix at a `b` element: two clones with the
@@ -459,64 +376,45 @@ impl PredicateMatrix {
     /// exactly one element and that element is complementary, return the
     /// merged matrix with the element reset to `b`.
     pub fn unify(&self, other: &Self) -> Option<Self> {
-        if let (Repr::Packed(a), Repr::Packed(b)) = (&self.repr, &other.repr) {
-            if a.mask != b.mask {
-                return None;
-            }
-            let mut diffs = 0u32;
-            let mut at: Option<PredKey> = None;
-            for i in 0..W {
-                // vals ⊆ mask on both sides and the masks are equal, so
-                // every xor bit is a complementary constrained pair.
-                let d = a.vals[i] ^ b.vals[i];
-                diffs += d.count_ones();
-                if at.is_none() && d != 0 {
-                    at = Some(key_of(i * 64 + d.trailing_zeros() as usize));
-                }
-            }
-            match (&a.spill, &b.spill) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    if x.len() != y.len() {
-                        return None;
-                    }
-                    for ((kx, vx), (ky, vy)) in x.iter().zip(y.iter()) {
-                        if kx != ky {
-                            return None;
-                        }
-                        if vx != vy {
-                            diffs += 1;
-                            if at.is_none() {
-                                at = Some(*kx);
-                            }
-                        }
-                    }
-                }
-                _ => return None,
-            }
-            if diffs != 1 {
-                return None;
-            }
-            let (r, c) = at?;
-            return Some(self.with(r, c, PredElem::Both));
-        }
-        // They must share every entry except exactly one complementary pair.
-        if self.constrained_len() != other.constrained_len() {
+        let (a, b) = (self, other);
+        if a.mask != b.mask {
             return None;
         }
-        let mut diff: Option<PredKey> = None;
-        for (r, c, v) in self.constrained() {
-            match other.get(r, c).as_bool() {
-                Some(w) if w == v => {}
-                Some(_) => {
-                    if diff.replace((r, c)).is_some() {
-                        return None; // more than one differing position
-                    }
-                }
-                None => return None, // keys differ
+        let mut diffs = 0u32;
+        let mut at: Option<PredKey> = None;
+        for i in 0..W {
+            // vals ⊆ mask on both sides and the masks are equal, so every
+            // xor bit is a complementary constrained pair.
+            let d = a.vals[i] ^ b.vals[i];
+            diffs += d.count_ones();
+            if at.is_none() && d != 0 {
+                at = Some(key_of(i * 64 + d.trailing_zeros() as usize));
             }
         }
-        let (r, c) = diff?;
+        match (&a.spill, &b.spill) {
+            (None, None) => {}
+            (Some(x), Some(y)) => {
+                if x.len() != y.len() {
+                    return None;
+                }
+                for ((kx, vx), (ky, vy)) in x.iter().zip(y.iter()) {
+                    if kx != ky {
+                        return None;
+                    }
+                    if vx != vy {
+                        diffs += 1;
+                        if at.is_none() {
+                            at = Some(*kx);
+                        }
+                    }
+                }
+            }
+            _ => return None,
+        }
+        if diffs != 1 {
+            return None;
+        }
+        let (r, c) = at?;
         Some(self.with(r, c, PredElem::Both))
     }
 
@@ -529,13 +427,10 @@ impl PredicateMatrix {
     /// Drop constraints outside the column window `[lo, hi]` (inclusive),
     /// widening the path set.
     pub fn widened_to_window(&self, lo: i32, hi: i32) -> Self {
-        let mut out = self.empty_like();
-        for (r, c, v) in self.constrained() {
-            if (lo..=hi).contains(&c) {
-                out.set(r, c, PredElem::from_bool(v));
-            }
-        }
-        out
+        Self::from_entries(
+            self.constrained()
+                .filter(|&(_, c, _)| (lo..=hi).contains(&c)),
+        )
     }
 
     /// Smallest and largest constrained column, if any element is
@@ -588,43 +483,8 @@ impl PredicateMatrix {
     }
 }
 
-/// Shift a spill-free packed matrix within its lanes, `None` when any
-/// constrained bit would leave its row window (the caller then rebuilds
-/// element-wise, spilling as needed).
-fn shift_lanes(p: &Packed, delta: i32) -> Option<Packed> {
-    let d = delta.unsigned_abs() as usize;
-    if d >= LANE {
-        return None;
-    }
-    let lane_keep: u64 = if delta > 0 {
-        (1 << (LANE - d)) - 1
-    } else {
-        ((1 << (LANE - d)) - 1) << d
-    };
-    let mut keep = 0u64;
-    let mut lane = 0;
-    while lane < 64 / LANE {
-        keep |= lane_keep << (lane * LANE);
-        lane += 1;
-    }
-    if p.mask.iter().any(|&w| w & !keep != 0) {
-        return None;
-    }
-    // All surviving bits stay inside their lane, so a whole-word shift
-    // cannot leak across lane or word boundaries.
-    let mut out = Packed::default();
-    for i in 0..W {
-        (out.mask[i], out.vals[i]) = if delta > 0 {
-            (p.mask[i] << d, p.vals[i] << d)
-        } else {
-            (p.mask[i] >> d, p.vals[i] >> d)
-        };
-    }
-    Some(out)
-}
-
-/// Iterator over constrained elements in `(row, col)` order, across both
-/// representations (bitplane bits merged with the sorted spill).
+/// Iterator over constrained elements in `(row, col)` order (bitplane bits
+/// merged with the sorted spill).
 pub struct ConstrainedIter<'a> {
     inner: Inner<'a>,
 }
@@ -655,7 +515,6 @@ impl Iterator for PackedBits {
 }
 
 enum Inner<'a> {
-    Sparse(std::collections::btree_map::Iter<'a, PredKey, bool>),
     Bits(PackedBits),
     Merged {
         bits: PackedBits,
@@ -670,7 +529,6 @@ impl Iterator for ConstrainedIter<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let ((r, c), v) = match &mut self.inner {
-            Inner::Sparse(it) => it.next().map(|(&k, &v)| (k, v))?,
             Inner::Bits(bits) => bits.next()?,
             Inner::Merged {
                 bits,
@@ -701,38 +559,10 @@ impl Iterator for ConstrainedIter<'_> {
     }
 }
 
-impl PartialEq for PredicateMatrix {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.repr, &other.repr) {
-            // Both packed forms are canonical, so word compare suffices.
-            (Repr::Packed(a), Repr::Packed(b)) => {
-                a.mask == b.mask && a.vals == b.vals && a.spill == b.spill
-            }
-            (Repr::Sparse(a), Repr::Sparse(b)) => a == b,
-            _ => self.constrained().eq(other.constrained()),
-        }
-    }
-}
-
-impl Eq for PredicateMatrix {}
-
-impl Hash for PredicateMatrix {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Element-wise so packed and sparse forms of the same matrix hash
-        // identically (required by Eq).
-        state.write_usize(self.constrained_len());
-        for (r, c, v) in self.constrained() {
-            r.hash(state);
-            c.hash(state);
-            v.hash(state);
-        }
-    }
-}
-
 impl Ord for PredicateMatrix {
     fn cmp(&self, other: &Self) -> Ordering {
         // Lexicographic over the ((row, col), value) sequence in key order —
-        // exactly the order the sparse BTreeMap representation derives.
+        // exactly the order a derived `Ord` on a `BTreeMap` would give.
         self.constrained()
             .map(|(r, c, v)| ((r, c), v))
             .cmp(other.constrained().map(|(r, c, v)| ((r, c), v)))
@@ -745,16 +575,9 @@ impl PartialOrd for PredicateMatrix {
     }
 }
 
-impl Default for PredicateMatrix {
-    fn default() -> Self {
-        Self::universe()
-    }
-}
-
 impl fmt::Debug for PredicateMatrix {
     /// Deterministic and injective over the constrained entry set (the
-    /// schedule fingerprint keys a memo on it), identical across
-    /// representations.
+    /// schedule fingerprint keys a memo on it).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "PM[")?;
         for (i, (r, c, v)) in self.constrained().enumerate() {
@@ -1024,34 +847,16 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_sparse_forms_are_interchangeable() {
-        use std::collections::hash_map::DefaultHasher;
-        let entries = [(0u32, 0i32, true), (2, -3, false), (9, 20, true)];
-        let packed = crate::backend::with_backend(true, || m(&entries));
-        let sparse = crate::backend::with_backend(false, || m(&entries));
-        assert!(!packed.is_word_packed(), "(9,20) must spill");
-        assert!(!sparse.is_word_packed());
-        assert_eq!(packed, sparse);
-        assert_eq!(packed.cmp(&sparse), Ordering::Equal);
-        assert_eq!(format!("{packed:?}"), format!("{sparse:?}"));
-        assert_eq!(format!("{packed}"), format!("{sparse}"));
-        let h = |x: &PredicateMatrix| {
-            let mut s = DefaultHasher::new();
-            x.hash(&mut s);
-            s.finish()
-        };
-        assert_eq!(h(&packed), h(&sparse));
-        // Mixed-representation operations take the generic path.
-        assert_eq!(packed.conjoin(&sparse), Some(packed.clone()));
-        assert!(packed.subsumes(&sparse) && sparse.subsumes(&packed));
-        assert!(!packed.is_disjoint(&sparse));
+    fn matrix_clones_stay_at_forty_bytes() {
+        // Two 2-word bitplanes plus the boxed spill pointer; every clone in
+        // the scheduler copies this much.
+        assert_eq!(std::mem::size_of::<PredicateMatrix>(), 40);
     }
 
     #[test]
-    fn ord_matches_sparse_reference_order() {
-        // The sparse derive ordered matrices by their ((r,c),v) sequence;
-        // PathSet normalization (and thus probability summation order)
-        // depends on it.
+    fn ord_is_the_entry_sequence_order() {
+        // Matrices order by their ((r,c),v) sequence; PathSet normalization
+        // (and thus probability summation order) depends on it.
         let a = m(&[(0, 0, false)]);
         let b = m(&[(0, 0, true)]);
         let c = m(&[(0, 0, false), (1, 0, true)]);

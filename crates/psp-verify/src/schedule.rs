@@ -21,9 +21,9 @@
 //! * each row's same-class instances that can co-execute (pairwise
 //!   non-disjoint paths) must fit the machine's issue width.
 //!
-//! Everything is computed with freshly built **sparse** predicate matrices
-//! ([`psp_predicate::backend::with_backend`]), so the bit-packed algebra
-//! and its interner — used by the scheduler — are out of the trusted base.
+//! Everything is computed on freshly built [`SparseMatrix`] references, so
+//! the bit-packed algebra and its interner — used by the scheduler — are
+//! out of the trusted base.
 
 use crate::violation::{CycleSite, Violation};
 use psp_core::Schedule;
@@ -32,17 +32,17 @@ use psp_ir::{
     flatten, AluOp, LoopSpec, OpKind, Operand, Operation, Reg, RegRef, ResClass,
 };
 use psp_machine::MachineConfig;
-use psp_predicate::{backend::with_backend, OutcomeMap, PredicateMatrix};
+use psp_predicate::{OutcomeMap, PredicateMatrix, SparseMatrix};
 
 /// One schedule instance with its freshly rebuilt sparse matrices.
 struct Inst<'a> {
     row: usize,
     inner: &'a psp_core::Instance,
-    /// Formal path set, current-pass coordinates, sparse backend.
-    formal: PredicateMatrix,
+    /// Formal path set, current-pass coordinates.
+    formal: SparseMatrix,
     /// Formal path set shifted to original-iteration coordinates
     /// (column 0 = the instance's own iteration).
-    iter: PredicateMatrix,
+    iter: SparseMatrix,
 }
 
 impl Inst<'_> {
@@ -87,11 +87,9 @@ pub fn validate_schedule(
     out
 }
 
-/// Rebuild a matrix on the sparse backend, shifting columns by `delta`.
-fn sparse_shift(m: &PredicateMatrix, delta: i32) -> PredicateMatrix {
-    let entries: Vec<(u32, i32, bool)> =
-        m.constrained().map(|(r, c, v)| (r, c + delta, v)).collect();
-    with_backend(false, || PredicateMatrix::from_entries(entries))
+/// Rebuild a matrix as a sparse reference, shifting columns by `delta`.
+fn sparse_shift(m: &PredicateMatrix, delta: i32) -> SparseMatrix {
+    SparseMatrix::from_entries(m.constrained().map(|(r, c, v)| (r, c + delta, v)))
 }
 
 // --- source coverage ---------------------------------------------------
@@ -170,15 +168,16 @@ fn origins(spec: &LoopSpec, insts: &[Inst], out: &mut Vec<Violation>) {
 /// Capped at 12 free predicates (4096 concrete paths); larger origins are
 /// skipped — the validator is naive by design, not complete.
 fn coverage(o: usize, ctrl: &PredicateMatrix, real: &[&&Inst], out: &mut Vec<Violation>) {
+    let ctrl = SparseMatrix::from(ctrl);
     let mut keys: Vec<(u32, i32)> = Vec::new();
-    let add = |m: &PredicateMatrix, keys: &mut Vec<(u32, i32)>| {
+    let add = |m: &SparseMatrix, keys: &mut Vec<(u32, i32)>| {
         for (r, c, _) in m.constrained() {
             if !keys.contains(&(r, c)) {
                 keys.push((r, c));
             }
         }
     };
-    add(ctrl, &mut keys);
+    add(&ctrl, &mut keys);
     for i in real {
         add(&i.iter, &mut keys);
     }
@@ -409,7 +408,7 @@ fn speculation(machine: &MachineConfig, insts: &[Inst], out: &mut Vec<Violation>
     struct Entry<'m> {
         idx: i32,
         row: usize,
-        formal: &'m PredicateMatrix,
+        formal: &'m SparseMatrix,
     }
     let mut log: Vec<(u32, Entry)> = Vec::new();
     for i in insts {

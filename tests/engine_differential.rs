@@ -6,9 +6,9 @@
 //!
 //! Coverage is three-layered:
 //!
-//! 1. all 16 paper kernels × both predicate backends × several compiled
-//!    forms (PSP pipeline, local compaction, unrolled) through the full
-//!    trace-materializing path (`check_equivalence_with`);
+//! 1. all 16 paper kernels × several compiled forms (PSP pipeline, local
+//!    compaction, unrolled) through the full trace-materializing path
+//!    (`check_equivalence_with`);
 //! 2. the same kernels through the no-trace batch fast path
 //!    (`EquivEngine::check`), which is the only path that engages the
 //!    fused reference loop and the VLIW superloop — the counters it
@@ -21,7 +21,6 @@ mod common;
 
 use common::{arb_body, build_spec, initial, CASES};
 use proptest::prelude::*;
-use psp::predicate::backend::with_backend;
 use psp::prelude::*;
 use psp::sim::{check_equivalence_with, EquivEngine, MachineState};
 
@@ -120,26 +119,18 @@ fn kernel_trials() -> Vec<(u64, usize)> {
     trials
 }
 
-/// All 16 kernels × both predicate backends, through the full
-/// trace-materializing path, on the PSP-pipelined program.
+/// All 16 kernels through the full trace-materializing path, on the
+/// PSP-pipelined program.
 #[test]
-fn kernels_identical_across_engines_and_backends() {
+fn kernels_identical_across_engines() {
     for kernel in all_kernels() {
-        for packed in [false, true] {
-            with_backend(packed, || {
-                let res = pipeline_loop(&kernel.spec, &PspConfig::default())
-                    .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-                for (seed, len) in kernel_trials() {
-                    let data = KernelData::random(seed, len);
-                    let init = kernel.initial_state(&data);
-                    let label = format!(
-                        "{}/{}/len={len}",
-                        kernel.name,
-                        if packed { "packed" } else { "sparse" }
-                    );
-                    assert_full_identical(&kernel.spec, &res.program, &init, &label);
-                }
-            });
+        let res = pipeline_loop(&kernel.spec, &PspConfig::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
+        for (seed, len) in kernel_trials() {
+            let data = KernelData::random(seed, len);
+            let init = kernel.initial_state(&data);
+            let label = format!("{}/len={len}", kernel.name);
+            assert_full_identical(&kernel.spec, &res.program, &init, &label);
         }
     }
 }
@@ -198,9 +189,9 @@ proptest! {
     /// clobbered condition codes, store/load aliasing — shapes the fused
     /// reference builder must either handle bit-identically or decline.
     #[test]
-    fn fuzz_grammar_identical_across_engines(body in arb_body(), packed in any::<bool>()) {
+    fn fuzz_grammar_identical_across_engines(body in arb_body()) {
         let spec = build_spec(&body);
-        let Ok(res) = with_backend(packed, || pipeline_loop(&spec, &PspConfig::default())) else {
+        let Ok(res) = pipeline_loop(&spec, &PspConfig::default()) else {
             return Ok(());
         };
         let mut eng = EquivEngine::new(&spec, &res.program);

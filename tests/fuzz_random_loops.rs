@@ -5,14 +5,25 @@
 //! This is the strongest correctness argument in the suite: the PSP
 //! scheduler's transformations (speculation, renaming, combining,
 //! substitution, splitting, wrapping) must preserve semantics on loop
-//! shapes nobody hand-picked. The loop generator is shared with the exact-
-//! certifier property suite (`tests/common/mod.rs`).
+//! shapes nobody hand-picked. Every PSP result must also pass the
+//! independent psp-verify validators, which re-check the schedule and the
+//! generated code on the sparse reference algebra. The loop generator is
+//! shared with the exact-certifier property suite (`tests/common/mod.rs`).
 
 mod common;
 
 use common::*;
 use proptest::prelude::*;
 use psp::prelude::*;
+use psp::verify::{validate_schedule, validate_vliw};
+
+/// The independent validators must accept the PSP schedule and program.
+fn assert_validates(spec: &LoopSpec, machine: &MachineConfig, res: &PspResult, label: &str) {
+    let v = validate_schedule(spec, machine, &res.schedule);
+    assert!(v.is_empty(), "[{label}] schedule violations: {v:?}");
+    let v = validate_vliw(spec, machine, &res.program);
+    assert!(v.is_empty(), "[{label}] program violations: {v:?}");
+}
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -31,6 +42,7 @@ proptest! {
         check_prog(&spec, &compile_local(&spec, &wide), "local");
         check_prog(&spec, &compile_unrolled(&spec, 3, &wide), "unroll3");
         let res = pipeline_loop(&spec, &PspConfig::default()).expect("psp pipelines");
+        assert_validates(&spec, &wide, &res, "psp");
         check_prog(&spec, &res.program, "psp");
     }
 
@@ -39,8 +51,9 @@ proptest! {
         let spec = build_spec(&body);
         let narrow = MachineConfig::narrow(2, 1, 1);
         check_prog(&spec, &compile_local(&spec, &narrow), "local-narrow");
-        let res = pipeline_loop(&spec, &PspConfig::with_machine(narrow))
+        let res = pipeline_loop(&spec, &PspConfig::with_machine(narrow.clone()))
             .expect("psp pipelines");
+        assert_validates(&spec, &narrow, &res, "psp-narrow");
         check_prog(&spec, &res.program, "psp-narrow");
     }
 }
